@@ -13,7 +13,10 @@ workload:
   circuits in the middleware pipeline (one dict lookup per request).
 
 Then an HTTP section reports requests/sec over real sockets (threaded
-stdlib server, warm cache) for ``/sweep`` and ``/healthz``, and an
+stdlib server, warm cache) for ``/sweep`` and ``/healthz``; a
+**keep-alive tier** reports p50/p99 of both over one persistent
+``http.client`` connection (gated: p50 <= 15 ms, so the ~40 ms
+delayed-ACK stall of a multi-write reply cannot return); and an
 **async tier** compares N concurrent *distinct* cold sweeps issued
 synchronously (each client thread blocks on its own POST /sweep)
 against the same workload submitted as jobs (POST /jobs + poll):
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import http.client
 import json
 import os
 import re
@@ -72,16 +76,16 @@ def _time_requests(fn, n: int) -> float:
     return time.perf_counter() - start
 
 
-def _percentiles(samples):
+def _percentiles(samples, quantiles=(50, 95)):
     ordered = sorted(samples)
     if not ordered:
-        return {"p50_ms": None, "p95_ms": None}
+        return {f"p{q}_ms": None for q in quantiles}
 
     def pct(q: float) -> float:
         idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
         return ordered[idx] * 1000.0
 
-    return {"p50_ms": round(pct(0.50), 3), "p95_ms": round(pct(0.95), 3)}
+    return {f"p{q}_ms": round(pct(q / 100.0), 3) for q in quantiles}
 
 
 @contextlib.contextmanager
@@ -336,6 +340,79 @@ def _run_hardening_tier(args, results: dict) -> None:
         )
 
 
+#: A keep-alive reply slower than this at the median means the
+#: delayed-ACK stall (>= 40 ms per reply) is back.
+KEEPALIVE_P50_GATE_MS = 15.0
+
+
+def _run_keepalive_tier(args, results: dict) -> None:
+    """p50/p99 over one persistent ``http.client`` connection (gated).
+
+    Real SDKs and load balancers keep connections open; a reply that
+    leaves as several small writes on a Nagle-enabled socket then waits
+    for the client's delayed ACK on every request.
+    """
+    dataset = {"workload": "taxi", "users": args.users, "seed": 44}
+    sweep = json.dumps({
+        "dataset": dataset, "points": args.points,
+        "replications": args.replications,
+    }).encode("utf-8")
+    app = ConfigService()
+    server = app.make_server("127.0.0.1", 0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(host, port, timeout=600)
+    requests = {
+        "healthz": ("GET", "/healthz", None, {}),
+        "sweep_warm": ("POST", "/sweep", sweep,
+                       {"Content-Type": "application/json",
+                        "Accept-Encoding": "gzip"}),
+    }
+    samples = {name: [] for name in requests}
+    try:
+        for name, (method, path, body, headers) in requests.items():
+            # One unmeasured request warms the response cache.
+            for i in range(args.repeats + 1):
+                start = time.perf_counter()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                elapsed = time.perf_counter() - start
+                if response.status != 200 or response.will_close:
+                    raise SystemExit(
+                        f"FAIL: keep-alive tier: {method} {path} answered "
+                        f"{response.status} (will_close="
+                        f"{response.will_close})"
+                    )
+                if i:
+                    samples[name].append(elapsed)
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        app.close()
+        thread.join(timeout=5)
+
+    block = {name: _percentiles(values, (50, 99))
+             for name, values in samples.items()}
+    results["keepalive"] = {"requests": args.repeats,
+                            "gate_p50_ms": KEEPALIVE_P50_GATE_MS, **block}
+    print()
+    print(f"keep-alive tier: {args.repeats} sequential requests on one "
+          f"connection")
+    for name, pcts in block.items():
+        print(f"  {name:<11}: p50 {pcts['p50_ms']:>7.2f} ms   "
+              f"p99 {pcts['p99_ms']:>7.2f} ms")
+    slow = {name: pcts["p50_ms"] for name, pcts in block.items()
+            if pcts["p50_ms"] > KEEPALIVE_P50_GATE_MS}
+    if slow:
+        raise SystemExit(
+            f"FAIL: keep-alive tier: p50 above {KEEPALIVE_P50_GATE_MS} ms "
+            f"(the delayed-ACK stall is back): {slow}"
+        )
+
+
 def _start_daemon(
     processes: int, cache_dir: Path
 ) -> "tuple[subprocess.Popen, str]":
@@ -401,8 +478,10 @@ def _run_processes_tier(args, results: dict) -> None:
             warm_wall = time.perf_counter() - warm_start
 
             # Concurrent warm throughput: the number the fleet exists
-            # to scale.  Each thread gets its own client (urllib
-            # openers are not thread-safe to share mid-request).
+            # to scale.  Each thread gets its own client and closes its
+            # connection after every request: one keep-alive connection
+            # stays on one worker, while fresh connections are spread
+            # across the fleet by the kernel, request by request.
             per_thread = max(1, args.repeats // threads_n)
             errors: list = []
 
@@ -412,6 +491,7 @@ def _run_processes_tier(args, results: dict) -> None:
                 try:
                     for _ in range(per_thread):
                         worker_http.sweep(dataset, **sweep_kwargs)
+                        worker_http.close()
                 except Exception as exc:
                     errors.append(f"hammer[{slot}]: {exc!r}")
 
@@ -611,6 +691,11 @@ def main() -> None:
             "healthz_rps": round(args.repeats / http_health_s, 3),
         },
     }
+
+    # ------------------------------------------------------------------
+    # Keep-alive tier: p50/p99 on one persistent connection (gated)
+    # ------------------------------------------------------------------
+    _run_keepalive_tier(args, results)
 
     # ------------------------------------------------------------------
     # Async tier: concurrent sweeps, sync vs jobs

@@ -86,6 +86,19 @@ CACHEABLE_ENDPOINTS = (
     "POST /recommend",
 )
 
+#: The cacheable endpoints whose responses also go to the shared disk
+#: tier (sibling workers, restarts).  ``/recommend`` stays memory-only:
+#: it answers from a fitted model in a fraction of a millisecond, while
+#: a new spill record is a file creation (about 0.5 ms on a 2-vCPU VM's
+#: ext4 disk, and as variable as the disk), and every distinct set of
+#: targets is a new key, so spilling them would add one file per query
+#: without bound.  A sibling worker refits the model from the shared
+#: engine tier with zero executions.
+SPILLED_ENDPOINTS = (
+    "POST /sweep",
+    "POST /configure",
+)
+
 
 #: Largest accepted request body.  Inline-records datasets fit
 #: comfortably; anything bigger should arrive as a server-side CSV.
@@ -202,6 +215,7 @@ class ConfigService:
             key_body=self._cache_key_body,
             on_hit=self._refresh_hit_body,
             spill_dir=(shared / "responses") if shared is not None else None,
+            spill_endpoints=SPILLED_ENDPOINTS,
         )
         # A replace-registration changes what a scenario name means.
         # Fingerprint keying already isolates cache entries, but a
@@ -529,6 +543,10 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     #: its Content-Length promised) releases the handler thread instead
     #: of pinning it forever.
     timeout = 60.0
+    #: TCP_NODELAY: replies leave without waiting for the previous
+    #: segment's ACK, which also covers http.server's own multi-write
+    #: paths (send_error, 100 Continue).
+    disable_nagle_algorithm = True
 
     def _route_path(self) -> str:
         # Routing ignores the query string (health probes and load
@@ -651,8 +669,17 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in response.headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        # One write for status line, headers and body: separate small
+        # writes on a keep-alive socket wait out the client's delayed
+        # ACK (~40 ms per reply).  This is end_headers plus
+        # flush_headers with the body queued behind the blank line.  An
+        # HTTP/0.9 request gets the bare body: http.server buffers no
+        # header lines for it.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        if self.request_version != "HTTP/0.9":
+            head += b"\r\n"
+        self.wfile.write(head + payload)
 
     def log_message(self, format: str, *args) -> None:
         # The logging middleware already emits one structured line per

@@ -6,8 +6,9 @@ Two transports behind one interface:
   :class:`~repro.service.app.ConfigService` and calls its dispatch path
   directly.  No sockets, no serialisation beyond the service's own JSON
   contract; this is what the tests and the examples use.
-* :class:`HttpServiceClient` — over HTTP via :mod:`urllib` (stdlib
-  only), for talking to a daemon started with ``repro-lppm serve``.
+* :class:`HttpServiceClient` — over HTTP via :mod:`http.client`
+  (stdlib only) on a reused keep-alive connection, for talking to a
+  daemon started with ``repro-lppm serve``.
 
 Both raise :class:`ServiceClientError` on non-2xx responses, carrying
 the service's typed error payload (code, message, details).
@@ -23,12 +24,13 @@ when the deadline passes first.
 from __future__ import annotations
 
 import gzip
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import List, Optional
+import urllib.parse
+from typing import List, Optional, Tuple
 
 from .app import ConfigService
 from .middleware import Response
@@ -42,6 +44,16 @@ _TRANSIENT_STATUSES = (429, 503)
 #: Methods safe to retry after a *transport* failure, where the
 #: request may or may not have reached the server.
 _IDEMPOTENT_METHODS = ("GET", "DELETE")
+
+#: Transport failures: socket errors (urllib's URLError included) and
+#: malformed or truncated HTTP.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+#: How a keep-alive connection the server already closed (idle timeout,
+#: restart) fails before any response byte arrives.  The server never
+#: read the request, so it is safe to send again for any method.
+#: RemoteDisconnected is a ConnectionResetError.
+_STALE_CONNECTION_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
 def _retry_after_s(headers) -> Optional[float]:
@@ -77,7 +89,9 @@ class _BaseClient:
     ``last_headers`` holds the response headers of the most recent
     request (empty before the first one).  Multi-worker smoke tests
     read ``X-Worker-Pid`` and ``X-Response-Cache`` from it to prove
-    requests really crossed processes.
+    requests really crossed processes (over HTTP they ``close()`` the
+    client's keep-alive connection between requests, since one
+    connection stays on one worker).
     """
 
     #: Response headers of the last completed request.
@@ -348,12 +362,20 @@ class HttpServiceClient(_BaseClient):
     payloads cross the wire at a fraction of their JSON size.
     ``api_key`` (optional) is sent as ``X-API-Key`` on every request.
 
+    Each thread talks over one keep-alive connection, opened on first
+    use and reopened after the server announces ``Connection: close``
+    or the transport fails.
+
     Transient failures are retried with bounded exponential backoff
     plus jitter: a 429/503 answer (the server refused before doing any
     work — ``Retry-After`` is honoured when present) retries for any
     method, while connection-level errors retry only for idempotent
     methods (GET/DELETE), since a lost reply to a POST may have
-    mutated state.  ``retries=0`` restores fail-fast behaviour.
+    mutated state.  ``retries=0`` restores fail-fast behaviour.  One
+    exception, ``xmlrpc.client``'s stale-connection rule: a request on
+    a *reused* connection that the server had already closed (reset,
+    broken pipe or disconnect before any response byte) is sent once
+    more on a fresh connection, whatever its method.
     """
 
     def __init__(
@@ -369,6 +391,16 @@ class HttpServiceClient(_BaseClient):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        self._local = threading.local()
         self.timeout_s = float(timeout_s)
         self.api_key = api_key
         #: Extra headers sent on every request (e.g. a default
@@ -379,6 +411,23 @@ class HttpServiceClient(_BaseClient):
         self.max_backoff_s = float(max_backoff_s)
         self.retried = 0
         self.last_headers = {}
+
+    def _connection(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection, and whether it served a request
+        before (only a reused connection can be stale)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            return conn, True
+        conn = self._connection_class(self._netloc, timeout=self.timeout_s)
+        self._local.conn = conn
+        return conn, False
+
+    def close(self) -> None:
+        """Close this thread's connection; the next request reopens."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with jitter (half to full step)."""
@@ -405,7 +454,7 @@ class HttpServiceClient(_BaseClient):
                 if delay is None:
                     delay = self._backoff(attempt)
                 delay = min(delay, self.max_backoff_s)
-            except urllib.error.URLError:
+            except _TRANSPORT_ERRORS:
                 # Transport failure: the request may or may not have
                 # reached the server, so only idempotent methods are
                 # safe to fire again.
@@ -430,25 +479,38 @@ class HttpServiceClient(_BaseClient):
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as raw:
-                self.last_headers = dict(raw.headers.items())
-                return self._decode(
-                    raw.read(), raw.headers.get("Content-Encoding")
-                )
-        except urllib.error.HTTPError as exc:
-            self.last_headers = dict(exc.headers.items())
+        while True:
+            conn, reused = self._connection()
             try:
-                payload = self._decode(
-                    exc.read(), exc.headers.get("Content-Encoding")
-                )
-            except (ValueError, UnicodeDecodeError, OSError):
-                payload = {}
-            raise ServiceClientError(
-                exc.code, payload.get("error", {"message": str(exc)})
-            ) from None
+                conn.request(method, self._path_prefix + path,
+                             body=data, headers=headers)
+                raw = conn.getresponse()
+                break
+            except _STALE_CONNECTION_ERRORS:
+                self.close()
+                if not reused:
+                    raise
+                # Stale keep-alive connection: go round once more on a
+                # fresh one, which is never "reused".
+            except _TRANSPORT_ERRORS:
+                self.close()
+                raise
+        try:
+            raw_bytes = raw.read()
+        except _TRANSPORT_ERRORS:
+            self.close()
+            raise
+        if raw.will_close:
+            self.close()
+        self.last_headers = dict(raw.getheaders())
+        encoding = raw.getheader("Content-Encoding")
+        if 200 <= raw.status < 300:
+            return self._decode(raw_bytes, encoding)
+        try:
+            payload = self._decode(raw_bytes, encoding)
+        except (ValueError, UnicodeDecodeError, OSError):
+            payload = {}
+        fallback = {"message": f"HTTP {raw.status} {raw.reason}"}
+        raise ServiceClientError(
+            raw.status, payload.get("error", fallback)
+        ) from None

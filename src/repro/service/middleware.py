@@ -43,7 +43,6 @@ in the metrics.
 
 from __future__ import annotations
 
-import copy
 import gzip as _gzip
 import hashlib
 import hmac
@@ -55,7 +54,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..engine import EvaluationCancelled
 
@@ -1156,6 +1157,15 @@ def canonical_body_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _CachedResponse(NamedTuple):
+    """One stored response: the body as JSON text, which is compact,
+    immutable, and replays the same bytes from memory and from disk."""
+
+    status: int
+    body_json: str
+    headers: Dict[str, str]
+
+
 class ResponseCacheMiddleware(Middleware):
     """Answers repeated deterministic requests without calling inward.
 
@@ -1170,6 +1180,11 @@ class ResponseCacheMiddleware(Middleware):
     of protect + measure executions; this layer removes the remaining
     model-fit and cache-lookup work, so a warm repeat costs one dict
     lookup.
+
+    The memory tier is an LRU of ``max_entries`` responses: a hit makes
+    its entry the most recent, so a stream of one-off requests (every
+    ``/recommend`` with fresh targets is one) cannot push out the
+    responses clients keep repeating.
 
     Entries are **tenant-namespaced**: the key folds in the request
     context's tenant (attached by the auth layer), so one tenant's
@@ -1193,6 +1208,11 @@ class ResponseCacheMiddleware(Middleware):
     disk before calling inward — which is how one pre-fork worker's
     sweep becomes every sibling worker's (and every restart's) cache
     hit.  Torn or corrupt records read as misses and are quarantined.
+    Both tiers hold the body as the same JSON text, so a spill replay
+    is byte-identical to a memory replay.  ``spill_endpoints``
+    (optional, default: every cacheable endpoint) names the endpoints
+    that use the disk tier; the others stay memory-only, for responses
+    that are cheaper to recompute than to write as a new file.
     """
 
     name = "response_cache"
@@ -1205,6 +1225,7 @@ class ResponseCacheMiddleware(Middleware):
         key_body: Optional[Callable[[Request], Optional[dict]]] = None,
         on_hit: Optional[Callable[[dict], dict]] = None,
         spill_dir=None,
+        spill_endpoints: Optional[Sequence[str]] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
@@ -1214,17 +1235,30 @@ class ResponseCacheMiddleware(Middleware):
         self.key_body = key_body
         self.on_hit = on_hit
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
+        self.spill_endpoints = (
+            frozenset(spill_endpoints) if spill_endpoints is not None
+            else self.cacheable
+        )
         self._lock = threading.Lock()
-        self._entries: Dict[str, Response] = {}
+        self._entries: Dict[str, _CachedResponse] = {}
         self.hits = 0
         self.misses = 0
         self.spill_hits = 0
+
+    def _insert(self, key: str, entry: _CachedResponse) -> None:
+        """Store ``entry`` as the most recent one, evicting the least
+        recently used entry (dicts keep insertion order, and a hit
+        re-inserts its entry) at the bound.  Caller holds the lock."""
+        self._entries.pop(key, None)
+        if len(self._entries) >= self.max_entries:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = entry
 
     def _spill_path(self, key: str) -> "Path":
         assert self.spill_dir is not None
         return self.spill_dir / key[:2] / f"{key}.json"
 
-    def _read_spill(self, key: str) -> Optional[Response]:
+    def _read_spill(self, key: str) -> Optional[_CachedResponse]:
         """The spilled response under ``key``, or ``None`` on a miss."""
         # Imported lazily: the service layer sits above the framework,
         # whose store module owns the atomic/quarantining record IO.
@@ -1233,14 +1267,19 @@ class ResponseCacheMiddleware(Middleware):
         payload = read_json_payload(self._spill_path(key), "response")
         if payload is None:
             return None
-        status, body = payload.get("status"), payload.get("body")
+        status, body_json = payload.get("status"), payload.get("body_json")
         headers = payload.get("headers")
-        if not isinstance(status, int) or not isinstance(body, dict) \
+        if not isinstance(status, int) or not isinstance(body_json, str) \
                 or not isinstance(headers, dict):
             return None
-        return Response(status=status, body=body, headers=headers)
+        try:
+            if not isinstance(json.loads(body_json), dict):
+                return None
+        except ValueError:
+            return None
+        return _CachedResponse(status, body_json, headers)
 
-    def _write_spill(self, key: str, response: Response) -> None:
+    def _write_spill(self, key: str, entry: _CachedResponse) -> None:
         """Persist one stored response; IO failures only cost warmth
         (and count against the ``response_spill`` circuit breaker)."""
         from ..framework.store import write_json_atomic
@@ -1249,17 +1288,16 @@ class ResponseCacheMiddleware(Middleware):
         payload = {
             "format_version": 1,
             "kind": "response",
-            "status": response.status,
-            "body": response.body,
-            "headers": dict(response.headers),
+            "status": entry.status,
+            # The body stays JSON text inside the record: the record
+            # writer sorts keys, and the replay must keep the body's.
+            "body_json": entry.body_json,
+            "headers": entry.headers,
         }
-        try:
-            write_guarded(
-                "response_spill",
-                lambda: write_json_atomic(payload, self._spill_path(key)),
-            )
-        except (TypeError, ValueError):
-            pass
+        write_guarded(
+            "response_spill",
+            lambda: write_json_atomic(payload, self._spill_path(key)),
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         if request.endpoint not in self.cacheable or (
@@ -1279,9 +1317,16 @@ class ResponseCacheMiddleware(Middleware):
             tenant=str(tenant) if tenant is not None else None,
         )
         with self._lock:
-            hit = self._entries.get(key)
+            hit = self._entries.pop(key, None)
+            if hit is not None:
+                # Re-inserted as the most recent entry: eviction drops
+                # the least recently *used* entry, so a hot response
+                # outlives any stream of one-off requests.
+                self._entries[key] = hit
+        spill = (self.spill_dir is not None
+                 and request.endpoint in self.spill_endpoints)
         from_spill = False
-        if hit is None and self.spill_dir is not None:
+        if hit is None and spill:
             # Disk probe outside the lock (pure IO); a hit is promoted
             # into the memory tier so repeats stay a dict lookup.
             hit = self._read_spill(key)
@@ -1292,14 +1337,11 @@ class ResponseCacheMiddleware(Middleware):
                 if from_spill:
                     self.spill_hits += 1
                     if key not in self._entries:
-                        if len(self._entries) >= self.max_entries:
-                            self._entries.pop(next(iter(self._entries)))
-                        self._entries[key] = hit
+                        self._insert(key, hit)
             request.context["response_cache_hit"] = True
-            # Fresh copies, body included: in-process callers receive
-            # the response dict itself, and must not be able to mutate
-            # the cached entry through it.
-            body = copy.deepcopy(hit.body)
+            # A fresh body per replay: in-process callers receive the
+            # dict itself and cannot reach the stored text through it.
+            body = json.loads(hit.body_json)
             if self.on_hit is not None:
                 body = self.on_hit(body)
             return Response(
@@ -1308,24 +1350,22 @@ class ResponseCacheMiddleware(Middleware):
                 headers=dict(hit.headers, **{"X-Response-Cache": "hit"}),
             )
         response = call_next(request)
-        stored: Optional[Response] = None
+        stored: Optional[_CachedResponse] = None
+        if response.ok:
+            try:
+                stored = _CachedResponse(
+                    response.status, json.dumps(response.body),
+                    dict(response.headers),
+                )
+            except (TypeError, ValueError):
+                pass  # not JSON-serialisable: served, never replayed
         with self._lock:
             self.misses += 1
-            if response.ok:
-                if len(self._entries) >= self.max_entries:
-                    # Drop the oldest entry (dicts preserve insertion
-                    # order) — a plain bound, not an LRU, is enough for
-                    # a cache of whole sweep responses.
-                    self._entries.pop(next(iter(self._entries)))
-                stored = Response(
-                    status=response.status,
-                    body=copy.deepcopy(response.body),
-                    headers=dict(response.headers),
-                )
-                self._entries[key] = stored
-        if stored is not None and self.spill_dir is not None:
+            if stored is not None:
+                self._insert(key, stored)
+        if stored is not None and spill:
             # Written through after releasing the lock: concurrent
-            # requests never queue behind a JSON dump, and a torn file
+            # requests never queue behind a disk write, and a torn file
             # from a crash mid-write reads back as a quarantined miss.
             self._write_spill(key, stored)
         response.headers.setdefault("X-Response-Cache", "miss")

@@ -1,7 +1,13 @@
-"""The HTTP front-end: stdlib server + urllib client round trips."""
+"""The HTTP front-end: stdlib server + urllib/http.client round trips."""
 
+import contextlib
+import gzip
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -242,3 +248,209 @@ class TestJobsOverHttp:
     def test_jobs_listing_over_http(self, http_client):
         listing = http_client.jobs()
         assert "jobs" in listing and "workers" in listing
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One request on ``conn``; returns (status, headers, raw body)."""
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return response.status, response.headers, response.read()
+
+
+class TestKeepAliveTransport:
+    """Many requests on one connection: no per-reply delayed-ACK stall.
+
+    A reply sent as separate small writes on a Nagle-enabled socket
+    waits out the client's delayed ACK (>= 40 ms); a single-write reply
+    with TCP_NODELAY takes a millisecond or two.
+    """
+
+    def test_sequential_requests_do_not_stall(self, http_service):
+        base_url, _ = http_service
+        host, port = base_url[len("http://"):].split(":")
+        sweep = json.dumps(
+            {"dataset": TAXI, "points": 4, "replications": 1}
+        ).encode("utf-8")
+        post_headers = {"Content-Type": "application/json",
+                        "Accept-Encoding": "gzip"}
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            status, _, _ = _exchange(conn, "POST", "/sweep", sweep,
+                                     post_headers)
+            assert status == 200  # warms the response cache
+            sock = conn.sock
+            healthz, sweeps = [], []
+            for _ in range(30):
+                start = time.perf_counter()
+                status, _, raw = _exchange(conn, "GET", "/healthz")
+                healthz.append(time.perf_counter() - start)
+                assert status == 200
+                assert json.loads(raw)["status"] == "ok"
+            for _ in range(30):
+                start = time.perf_counter()
+                status, headers, raw = _exchange(
+                    conn, "POST", "/sweep", sweep, post_headers
+                )
+                sweeps.append(time.perf_counter() - start)
+                assert status == 200
+                assert headers["X-Response-Cache"] == "hit"
+                if headers.get("Content-Encoding") == "gzip":
+                    raw = gzip.decompress(raw)
+                assert len(json.loads(raw)["points"]) == 4
+            assert conn.sock is sock, "the connection was not kept alive"
+            assert statistics.median(healthz) < 0.015
+            assert statistics.median(sweeps) < 0.015
+
+            # A typed 4xx keeps the connection and arrives whole.
+            status, headers, raw = _exchange(conn, "GET", "/jobs/job-nope-1")
+            assert status == 404
+            assert int(headers["Content-Length"]) == len(raw)
+            assert json.loads(raw)["error"]["code"] == "job-not-found"
+            assert conn.sock is sock
+
+            # A Connection: close reply arrives whole, then the server
+            # ends the connection.
+            conn.putrequest("POST", "/sweep")
+            conn.putheader("Content-Length", "many")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.headers["Connection"] == "close"
+            assert response.will_close
+            payload = json.loads(response.read())
+            assert payload["error"]["code"] == "invalid-request"
+        finally:
+            conn.close()
+
+    def test_http09_request_gets_the_bare_body(self, http_service):
+        # An HTTP/0.9 request line has no version; the reply is the
+        # body alone, with no status line or headers, then a close.
+        # (http.server still reads header lines up to a blank one.)
+        base_url, _ = http_service
+        host, port = base_url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["status"] == "ok"
+
+
+@pytest.fixture
+def idle_closing_service():
+    """A service whose handlers drop keep-alive connections idle for
+    0.3 s; yields its URL and the list of accepted connections."""
+    app = ConfigService()
+    server = app.make_server("127.0.0.1", 0)
+    server.RequestHandlerClass.timeout = 0.3
+    accepted = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = counting
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://{host}:{port}", accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        app.close()
+        thread.join(timeout=5)
+
+
+@contextlib.contextmanager
+def _hanging_up_server():
+    """A TCP server that reads each request and closes without a
+    reply; yields its URL and the list of accepted connections."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    accepted = []
+
+    def serve():
+        while True:
+            try:
+                conn, address = listener.accept()
+            except OSError:
+                return
+            accepted.append(address)
+            with conn:
+                conn.recv(65536)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    try:
+        yield f"http://{host}:{port}", accepted
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+
+
+class TestClientConnectionReuse:
+    def test_requests_share_one_connection(self, idle_closing_service):
+        base_url, accepted = idle_closing_service
+        client = HttpServiceClient(base_url)
+        for _ in range(5):
+            assert client.healthz()["status"] == "ok"
+        with pytest.raises(ServiceClientError):
+            client.status("job-nope-1")
+        client.metrics()
+        assert len(accepted) == 1
+        client.close()
+
+    def test_threads_sharing_a_client_get_one_connection_each(
+        self, idle_closing_service
+    ):
+        base_url, accepted = idle_closing_service
+        client = HttpServiceClient(base_url)
+        errors = []
+
+        def probe():
+            try:
+                for _ in range(20):
+                    assert client.healthz()["status"] == "ok"
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=probe) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(accepted) == 8
+
+    def test_server_closed_idle_connection_between_posts(
+        self, idle_closing_service
+    ):
+        base_url, accepted = idle_closing_service
+        client = HttpServiceClient(base_url, retries=0)
+        first = client.sweep(TAXI, points=4, replications=1)
+        time.sleep(1.0)  # the server drops the idle connection
+        second = client.sweep(TAXI, points=4, replications=1)
+        assert second["points"] == first["points"]
+        assert len(accepted) == 2
+        assert client.retried == 0  # a reconnect, not a backoff retry
+        client.close()
+
+    def test_fresh_connection_failures_keep_the_retry_rules(self):
+        with _hanging_up_server() as (base_url, accepted):
+            client = HttpServiceClient(base_url, retries=2,
+                                       backoff_s=0.001)
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                client.sweep(TAXI, points=4, replications=1)
+            assert len(accepted) == 1  # a POST is never blindly re-sent
+            accepted.clear()
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                client.healthz()
+            assert len(accepted) == 3  # GET: initial + 2 retries

@@ -1,6 +1,10 @@
 """Unit tests of the middleware pipeline: ordering, short-circuits,
 validation, and the response cache."""
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.service import (
@@ -260,6 +264,101 @@ class TestResponseCache:
         pipeline(Request("POST", "/a", body={"i": 0}), handler)
         pipeline(Request("POST", "/a", body={"i": 2}), handler)
         assert len(calls) == 1
+
+    def test_hit_refreshes_recency(self):
+        cache = ResponseCacheMiddleware(["POST /a"], max_entries=2)
+        pipeline = MiddlewarePipeline([cache])
+        calls = []
+        handler = lambda r: calls.append(r.body["k"]) or ok_handler(r)
+        for k in ("A", "B", "A", "C"):
+            pipeline(Request("POST", "/a", body={"k": k}), handler)
+        assert calls == ["A", "B", "C"]
+        # The hit on A made B the least recently used entry.
+        hit = pipeline(Request("POST", "/a", body={"k": "A"}), handler)
+        assert hit.headers["X-Response-Cache"] == "hit"
+        pipeline(Request("POST", "/a", body={"k": "B"}), handler)
+        assert calls == ["A", "B", "C", "B"]
+
+    def test_spill_replay_is_byte_identical(self, tmp_path):
+        cache = ResponseCacheMiddleware(
+            ["POST /a"], max_entries=2, spill_dir=tmp_path
+        )
+        pipeline = MiddlewarePipeline([cache])
+
+        def handler(request):
+            # Keys deliberately out of sorted order, nested too.
+            return Response(status=200, body={
+                "zeta": request.body["i"], "alpha": [1.5, {"y": 1, "b": 2}],
+                "mid": {"z": None, "a": "x"},
+            })
+
+        first = Request("POST", "/a", body={"i": 0})
+        pipeline(first, handler)
+        memory = pipeline(Request("POST", "/a", body={"i": 0}), handler)
+        assert memory.headers["X-Response-Cache"] == "hit"
+        for i in (1, 2, 3):  # push entry 0 out of the memory tier
+            pipeline(Request("POST", "/a", body={"i": i}), handler)
+        spilled = pipeline(Request("POST", "/a", body={"i": 0}),
+                           lambda r: None)
+        assert spilled.headers["X-Response-Cache"] == "hit"
+        assert cache.snapshot()["spill_hits"] == 1
+        assert json.dumps(spilled.body) == json.dumps(memory.body)
+
+    def test_spill_endpoints_limit_the_disk_tier(self, tmp_path):
+        cache = ResponseCacheMiddleware(
+            ["POST /a", "POST /b"], spill_dir=tmp_path,
+            spill_endpoints=["POST /a"],
+        )
+        pipeline = MiddlewarePipeline([cache])
+        pipeline(Request("POST", "/a", body={"i": 0}), ok_handler)
+        pipeline(Request("POST", "/b", body={"i": 0}), ok_handler)
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
+        # /b is still cached in memory.
+        hit = pipeline(Request("POST", "/b", body={"i": 0}), lambda r: None)
+        assert hit.headers["X-Response-Cache"] == "hit"
+        # A fresh process (empty memory tier) replays /a from disk only.
+        fresh = ResponseCacheMiddleware(
+            ["POST /a", "POST /b"], spill_dir=tmp_path,
+            spill_endpoints=["POST /a"],
+        )
+        pipeline = MiddlewarePipeline([fresh])
+        calls = []
+        handler = lambda r: calls.append(r.endpoint) or ok_handler(r)
+        pipeline(Request("POST", "/a", body={"i": 0}), handler)
+        pipeline(Request("POST", "/b", body={"i": 0}), handler)
+        assert calls == ["POST /b"]
+        assert fresh.snapshot()["spill_hits"] == 1
+
+    def test_concurrent_hits_and_evictions_keep_the_books(self):
+        cache = ResponseCacheMiddleware(["POST /a"], max_entries=4)
+        pipeline = MiddlewarePipeline([cache])
+        handler = lambda r: Response(status=200, body={"k": r.body["k"]})
+        wrong = []
+
+        def client(seed):
+            for i in range(200):
+                k = (seed * 7 + i) % 10
+                reply = pipeline(Request("POST", "/a", body={"k": k}),
+                                 handler)
+                if reply.body != {"k": k}:
+                    wrong.append((k, reply.body))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        snapshot = cache.snapshot()
+        assert snapshot["hits"] + snapshot["misses"] == 8 * 200
+        assert snapshot["entries"] <= 4
 
     def test_cached_body_immune_to_caller_mutation(self):
         cache = ResponseCacheMiddleware(["POST /a"])

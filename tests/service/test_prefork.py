@@ -67,6 +67,24 @@ class TestSharedResponseCache:
             assert after.last_headers.get("X-Response-Cache") == "hit"
         assert replay["engine"]["executions_this_request"] == 0
 
+    def test_recommend_replies_stay_out_of_the_shared_tier(self, tmp_path):
+        fit = {"dataset": {"workload": "taxi", "users": 3, "seed": 1},
+               "points": 4, "replications": 1}
+        query = dict(fit, objectives=[
+            {"kind": "privacy", "op": "<=", "target": 0.5},
+            {"kind": "utility", "op": ">=", "target": 0.1}])
+        with ServiceClient(_worker(tmp_path)) as primer:
+            primer.sweep(**fit)
+            primed = primer.recommend(**query)
+            primer.recommend(**query)
+            assert primer.last_headers.get("X-Response-Cache") == "hit"
+        # Only the sweep was written to the shared tier.
+        assert len(list((tmp_path / "responses").glob("*/*.json"))) == 1
+        with ServiceClient(_worker(tmp_path)) as sibling:
+            replay = sibling.recommend(**query)
+            assert sibling.last_headers.get("X-Response-Cache") == "miss"
+        assert replay["recommendation"] == primed["recommendation"]
+
     def test_without_shared_dir_siblings_are_cold(self, tmp_path):
         with ServiceClient(ConfigService(workers=1)) as primer:
             primer.sweep(**SWEEP_BODY)

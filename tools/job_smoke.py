@@ -128,12 +128,14 @@ def start_daemon(
 def _poll_resilience(client, predicate, timeout_s: float = 60.0):
     """Poll ``/metrics`` until the resilience block satisfies
     ``predicate``.  Pre-fork workers keep per-process counters and the
-    kernel spreads fresh connections across them, so repeated probes
-    eventually land on the worker that lived through the fault.
+    kernel spreads fresh connections across them, so each probe opens
+    its own connection and repeated probes eventually land on the
+    worker that lived through the fault.
     """
     deadline = time.monotonic() + timeout_s
     last = {}
     while time.monotonic() < deadline:
+        client.close()
         last = client.metrics().get("resilience", {})
         if predicate(last):
             return last
@@ -402,12 +404,15 @@ def main() -> int:
 
         # -- 3.5 cross-worker warmth (pre-fork mode only) -------------
         if args.processes > 1:
-            # Fleet: distinct pids must answer.  Every request opens a
-            # fresh TCP connection, so the kernel spreads them across
-            # the workers' listening sockets.
+            # Fleet: distinct pids must answer.  The client keeps one
+            # keep-alive connection, which stays on one worker; closing
+            # it before each probe makes every probe a fresh TCP
+            # connection, which the kernel spreads across the workers'
+            # listening sockets.  The steps below do the same.
             pids = set()
             deadline = time.monotonic() + 30.0
             while len(pids) < 2 and time.monotonic() < deadline:
+                client.close()
                 client.healthz()
                 pids.add(client.last_headers.get("X-Worker-Pid"))
             assert len(pids) >= 2, (
@@ -430,6 +435,7 @@ def main() -> int:
             cross_hit = None
             deadline = time.monotonic() + 60.0
             while cross_hit is None and time.monotonic() < deadline:
+                client.close()
                 repeat = client.sweep(**prime_body)
                 pid = client.last_headers.get("X-Worker-Pid")
                 if pid != primer_pid:
@@ -461,6 +467,7 @@ def main() -> int:
             remote_poll_pid = None
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
+                client.close()
                 snapshot = client.status(job["job_id"])
                 pid = client.last_headers.get("X-Worker-Pid")
                 if pid != owner_pid:
