@@ -14,9 +14,12 @@ dataset:
   the engine's behaviour): the headline number the analysis layer is
   gated on (≥ 3× expected);
 * **kernel speedups** — the vectorised ``extract_stay_points`` (on a
-  100k-record trace) and ``cluster_stay_points`` against the seed
-  implementations, which must stay bit-identical while being faster
-  (≥ 1.5× expected for stay-point extraction);
+  100k-record dwelling trace, and on geo-indistinguishability-noised
+  taxi traces over the ε range a ``/configure`` fit sweeps — the shape
+  the POI attack sees on the protected side) and
+  ``cluster_stay_points`` against the seed implementations, which must
+  stay bit-identical while being faster (≥ 1.5× expected for
+  stay-point extraction on both shapes);
 * **protect speedups** — the columnar ``protect_block`` path of every
   vectorised LPPM against the seed per-trace loop, on a many-user
   dataset (2500 users × 40 records full, the short-trace fleet shape
@@ -45,9 +48,11 @@ from repro import (
     GeoIndistinguishability,
     GridRounding,
     Subsampling,
+    TaxiFleetConfig,
     TimePerturbation,
     UniformDiskNoise,
     generate_commuters,
+    generate_taxi_fleet,
 )
 from repro.analysis import AnalysisCache, use_cache
 from repro.attacks import cluster_stay_points, extract_stay_points
@@ -176,7 +181,7 @@ def bench_sweep(actual, protected_worlds) -> dict:
     }
 
 
-def bench_kernels(n_records: int, n_stays: int) -> dict:
+def bench_kernels(n_records: int, n_stays: int, n_cabs: int) -> dict:
     """Vectorised kernels vs the seed implementations (bit-identical)."""
     reference = _reference_module()
     trace = reference.make_dwelling_trace(
@@ -207,6 +212,22 @@ def bench_kernels(n_records: int, n_stays: int) -> dict:
         cluster_stay_points(stays)
         == reference._reference_cluster_stay_points(stays)
     )
+    # The protected side of a /configure fit: a taxi fleet noised at
+    # ten ε values spanning geo_ind_system's default sweep range.
+    fleet = generate_taxi_fleet(TaxiFleetConfig(n_cabs=n_cabs, seed=0))
+    noised = [
+        trace
+        for point, eps in enumerate(np.geomspace(1e-4, 1.0, 10))
+        for trace in GeoIndistinguishability(float(eps))
+        .protect(fleet, seed=point)
+        .traces
+    ]
+    noised_new = [extract_stay_points(t) for t in noised]
+    noised_new_s = _timed(lambda: [extract_stay_points(t) for t in noised])
+    noised_ref = [reference._reference_extract_stay_points(t) for t in noised]
+    noised_ref_s = _timed(
+        lambda: [reference._reference_extract_stay_points(t) for t in noised]
+    )
     return {
         "stay_points": {
             "records": n_records,
@@ -215,6 +236,18 @@ def bench_kernels(n_records: int, n_stays: int) -> dict:
             "vectorized_s": round(new_s, 3),
             "speedup": round(ref_s / new_s, 1) if new_s > 0 else None,
             "bit_identical": bool(stay_identical),
+        },
+        "stay_points_noised": {
+            "traces": len(noised),
+            "records": sum(len(t) for t in noised),
+            "n_stays": sum(len(stays) for stays in noised_new),
+            "reference_s": round(noised_ref_s, 3),
+            "vectorized_s": round(noised_new_s, 3),
+            "speedup": (
+                round(noised_ref_s / noised_new_s, 1)
+                if noised_new_s > 0 else None
+            ),
+            "bit_identical": noised_new == noised_ref,
         },
         "cluster": {
             "stays": n_stays,
@@ -295,7 +328,8 @@ def main(argv=None) -> int:
     parser.add_argument("--kernel-records", type=int, default=100_000,
                         help="records in the kernel trace (default: 100000)")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (1 day, 3 points, 20k records)")
+                        help="CI-sized run (1 day, 3 points, 20k records, "
+                             "8 cabs)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the numbers as JSON")
     args = parser.parse_args(argv)
@@ -321,7 +355,11 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "per_metric": bench_per_metric(actual, protected),
         "sweep": bench_sweep(actual, protected_worlds),
-        "kernels": bench_kernels(kernel_records, 2500 if args.smoke else 4000),
+        "kernels": bench_kernels(
+            kernel_records,
+            2500 if args.smoke else 4000,
+            8 if args.smoke else 32,
+        ),
         "protect": bench_protect(protect_users, protect_records),
     }
 
@@ -359,7 +397,10 @@ def main(argv=None) -> int:
         all(r["bit_identical"] for r in results["kernels"].values())
         and sweep["speedup"] is not None
         and sweep["speedup"] >= sweep_floor
-        and results["kernels"]["stay_points"]["speedup"] >= kernel_floor
+        and all(
+            results["kernels"][name]["speedup"] >= kernel_floor
+            for name in ("stay_points", "stay_points_noised")
+        )
         and all(r["bit_identical"] for r in per_lppm.values())
         and all(
             per_lppm[name]["speedup"] is not None

@@ -9,15 +9,22 @@ per-trace content key plus an artifact kind plus the stable signature
 of the extraction configuration.  Identical inputs therefore share one
 computation per process, whichever config, seed or replication asked.
 
-Trace content keys come in two flavours:
+Trace content keys come in three flavours:
 
 * **seeded** — the evaluation engine (and each process-pool worker)
   announces a dataset's traces together with the dataset's already
   computed content fingerprint, so actual-side keys cost a dict lookup
   instead of a hash over the coordinates;
-* **hashed** — any other trace (protected traces above all) is hashed
-  on first sight and the hash memoised by object identity, so repeated
-  artifact requests against one trace object hash it once.
+* **one-off** — each protect + measure execution announces its freshly
+  protected dataset as one-off: its traces are hashed on first use like
+  any other, but under the ``o:`` prefix, and their artifacts stay in
+  the memory LRU, never in the spill tier.  A repeat of the same
+  (params, seed) job is answered by the engine's result cache and a new
+  job makes new noise, so a spilled protected-side artifact is never
+  read back;
+* **hashed** — any other trace is hashed on first sight and the hash
+  memoised by object identity, so repeated artifact requests against
+  one trace object hash it once.
 
 The cache never invalidates by time: keys are content-addressed, so a
 "stale" entry is simply an entry nothing asks for any more, and the
@@ -48,6 +55,13 @@ __all__ = [
 #: entry per (trace, artifact kind, config)), small next to the traces
 #: themselves.
 DEFAULT_MAX_ENTRIES = 4096
+
+#: Trace-key prefix of one-off traces
+#: (see :meth:`AnalysisCache.announce_one_off`).
+ONE_OFF_PREFIX = "o:"
+
+# Trace-key memo value of an announced one-off trace not hashed yet.
+_ONE_OFF = object()
 
 
 class WeakIdentityMemo:
@@ -118,7 +132,8 @@ class AnalysisCache:
         recomputed, and fresh computations are written through — so a
         restarted or sibling process starts warm.  Content keys are
         deterministic across processes, making the tier safe to share
-        between concurrent workers.
+        between concurrent workers.  Artifacts of traces announced as
+        one-off bypass the tier.
     """
 
     def __init__(
@@ -170,24 +185,26 @@ class AnalysisCache:
     # Content keys
     # ------------------------------------------------------------------
     @staticmethod
-    def _hash_trace(trace: "Trace") -> str:
+    def _hash_trace(trace: "Trace", prefix: str = "t:") -> str:
         digest = hashlib.sha256()
         digest.update(trace.user.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(trace.times_s.tobytes())
         digest.update(trace.lats.tobytes())
         digest.update(trace.lons.tobytes())
-        return "t:" + digest.hexdigest()
+        return prefix + digest.hexdigest()
 
     def trace_key(self, trace: "Trace") -> str:
         """Content key of one trace, memoised by object identity."""
         with self._lock:
             key = self._trace_keys.get(trace)
-        if key is not None:
+        if key is not None and key is not _ONE_OFF:
             return key
         # O(trace) hashing happens outside the lock; racing computations
         # of the same key are identical by content.
-        key = self._hash_trace(trace)
+        key = self._hash_trace(
+            trace, ONE_OFF_PREFIX if key is _ONE_OFF else "t:"
+        )
         with self._lock:
             self._trace_keys.put(trace, key)
         return key
@@ -219,6 +236,22 @@ class AnalysisCache:
                 self._trace_keys.put(trace, f"d:{fingerprint}:{user}")
             self.max_entries = max(self.max_entries, 8 * len(items))
 
+    def announce_one_off(self, dataset: "Dataset") -> None:
+        """Mark the traces of ``dataset`` as one-off.
+
+        For a dataset no later request will present again — the
+        protected output of one protect + measure execution: their
+        artifacts are memoised in memory, where the privacy and utility
+        metrics of the execution share them, but are neither probed for
+        nor written to the spill tier.  Traces that already have a key
+        (a mechanism that returns some actual traces unchanged) keep it.
+        """
+        traces = dataset.traces
+        with self._lock:
+            for trace in traces:
+                if self._trace_keys.get(trace) is None:
+                    self._trace_keys.put(trace, _ONE_OFF)
+
     # ------------------------------------------------------------------
     # Artifact storage
     # ------------------------------------------------------------------
@@ -233,7 +266,8 @@ class AnalysisCache:
         before computing (a spill hit counts as a *hit* — nothing was
         recomputed) and a fresh computation is written through, so the
         per-kind ``misses`` counter keeps meaning "times this family
-        was actually computed in this process".
+        was actually computed in this process".  Keys of one-off traces
+        skip both the probe and the write.
         """
         with self._lock:
             if key in self._entries:
@@ -242,7 +276,11 @@ class AnalysisCache:
                 self._kind_counter(kind)[0] += 1
                 return self._entries[key]
             spill = self._spill
-        spillable = spill is not None and spill.handles(key, kind)
+        spillable = (
+            spill is not None
+            and spill.handles(key, kind)
+            and not key[0].startswith(ONE_OFF_PREFIX)
+        )
         if spillable:
             # Disk IO outside the lock, like a computation; racing
             # loaders of one key decode identical content.

@@ -10,10 +10,13 @@ re-extracting every actual-side artifact.
 Keys are content-addressed on both flavours of trace key (seeded
 ``d:<fingerprint>:<user>`` and hashed ``t:<sha256>``), which are
 deterministic across processes, so any worker's spill is every
-worker's spill.  Records are JSON (floats round-trip exactly through
-the shortest-repr encoder, so reloaded artifacts stay bit-identical),
-written atomically through :mod:`repro.framework.store`; a torn or
-corrupt record reads as a miss and is quarantined, never raised.
+worker's spill.  Artifacts of one-off traces (``o:<sha256>``, the
+output of one protect + measure execution) never reach the tier: the
+owning cache keeps them in memory.  Records are JSON (floats
+round-trip exactly through the shortest-repr encoder, so reloaded
+artifacts stay bit-identical), written atomically through
+:mod:`repro.framework.store`; a torn or corrupt record reads as a miss
+and is quarantined, never raised.
 
 Only the three closed artifact families are spillable — anything else
 a future caller memoises stays memory-only rather than risking a lossy

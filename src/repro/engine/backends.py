@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from ..analysis import current_cache
 from ..resilience.events import record_event
 from ..resilience.faults import fire as _fire_fault
 from .jobs import EvalJob
@@ -71,6 +72,10 @@ def execute_job(
     supports it); the dataset's planar block is memoised on the
     ``Dataset``, so every job over the same dataset shares one
     concatenation.
+
+    The protected dataset is announced to the ambient analysis cache as
+    one-off, so its artifacts are shared by the two metrics in memory
+    but never spilled: nothing asks for them again.
     """
     lppm = system.make_lppm(**job.params_dict)
     if mapper is None:
@@ -79,6 +84,7 @@ def execute_job(
         protected = lppm.protect(dataset, seed=job.seed)
     else:
         protected = lppm.protect(dataset, seed=job.seed, mapper=mapper)
+    current_cache().announce_one_off(protected)
     privacy = system.privacy_metric.evaluate(dataset, protected)
     utility = system.utility_metric.evaluate(dataset, protected)
     return (float(privacy), float(utility))

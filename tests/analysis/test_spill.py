@@ -5,8 +5,12 @@ What the spill promises:
 * every spillable artifact round-trips **exactly** — a fresh process
   loading from disk sees the same values a recompute would produce;
 * a fresh cache (a restarted daemon, a sibling pre-fork worker)
-  pointed at the same spill directory starts warm: zero recomputes,
-  ``spill_hits`` accounting for the saved work;
+  pointed at the same spill directory starts warm: zero recomputes of
+  the dataset's own artifacts, ``spill_hits`` accounting for the saved
+  work;
+* the artifacts of protected traces, which no later request presents
+  again, stay memory-only: a sweep spills a fixed number of records per
+  dataset, however many jobs it runs;
 * corrupt or mismatched records are quarantined and recomputed,
   never raised;
 * non-spillable shapes stay memory-only and IO failures only cost
@@ -30,7 +34,7 @@ from repro.analysis import (
 )
 from repro.engine import EvalJob
 from repro.geo import LatLon, SpatialGrid
-from repro.mobility import Trace
+from repro.mobility import Dataset, Trace
 
 
 def _trace(seed: int, n: int = 400) -> Trace:
@@ -159,18 +163,22 @@ class TestEngineIntegration:
 
         # A "fresh process": no disk result cache (so every evaluation
         # really re-executes), but the analysis spill of the first
-        # engine attached — protections are deterministic, so every
-        # artifact (actual AND protected side) is already on disk.
+        # engine attached — every actual-side artifact (stay points and
+        # POIs per user) is already on disk.
         fresh = EvaluationEngine(engine="serial")
         fresh.analysis.attach_spill(tmp_path / "analysis")
         repeat = fresh.run(system, taxi_dataset, jobs)
         assert not any(r.cached for r in repeat)
         assert [(r.privacy, r.utility) for r in repeat] == \
             [(r.privacy, r.utility) for r in results]
+        n_users = len(taxi_dataset)
+        assert fresh.analysis.stats["spill_hits"] == 2 * n_users
+        # Protected traces are one-off: never spilled, so each is
+        # computed exactly once per (user, job), then shared in memory
+        # by the execution's metrics.
         kind = fresh.analysis.kind_stats()
-        assert kind["stay_points"]["misses"] == 0
-        assert kind["pois"]["misses"] == 0
-        assert fresh.analysis.stats["spill_hits"] > 0
+        assert kind["stay_points"]["misses"] == n_users * len(jobs)
+        assert kind["pois"]["misses"] == n_users * len(jobs)
 
     def test_cache_dir_engine_spills_automatically(
         self, taxi_dataset, tmp_path
@@ -181,6 +189,54 @@ class TestEngineIntegration:
             [EvalJob.make({"epsilon": 0.01}, seed=0)],
         )
         assert list((tmp_path / "analysis").glob("*/*.json"))
+
+    def test_sweep_spills_only_the_datasets_own_artifacts(
+        self, taxi_dataset, commuter_dataset, tmp_path
+    ):
+        system = geo_ind_system()
+        engine = EvaluationEngine(engine="serial", cache_dir=tmp_path)
+
+        def sweep(dataset, n_jobs):
+            jobs = [
+                EvalJob.make({"epsilon": float(eps)}, seed=seed)
+                for eps in np.geomspace(1e-3, 0.1, n_jobs // 2)
+                for seed in (0, 1)
+            ]
+            assert not any(r.cached for r in engine.run(system, dataset, jobs))
+            return len(list((tmp_path / "analysis").glob("*/*.json")))
+
+        # Stay points and POIs per user of each dataset, whatever the
+        # number of protect + measure executions over it.
+        assert sweep(taxi_dataset, 4) == 2 * len(taxi_dataset)
+        assert sweep(commuter_dataset, 8) == \
+            2 * (len(taxi_dataset) + len(commuter_dataset))
+
+    def test_seeded_traces_stay_spillable_when_announced_one_off(
+        self, taxi_dataset, tmp_path
+    ):
+        # A mechanism may return some actual traces unchanged; announcing
+        # its output as one-off must not demote their seeded keys.
+        cache = AnalysisCache(spill_dir=tmp_path)
+        cache.seed_dataset(taxi_dataset, "fp")
+        cache.announce_one_off(taxi_dataset)
+        trace = taxi_dataset.traces[0]
+        assert cache.trace_key(trace) == f"d:fp:{trace.user}"
+        stay_points_of(trace, cache=cache)
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
+
+    def test_one_off_traces_never_touch_the_spill(self, tmp_path):
+        cache = AnalysisCache(spill_dir=tmp_path)
+        dataset = Dataset.from_traces([_trace(6), _trace(7)])
+        cache.announce_one_off(dataset)
+        for trace in dataset.traces:
+            assert cache.trace_key(trace).startswith("o:")
+            pois_of(trace, cache=cache)
+            pois_of(trace, cache=cache)
+        assert not list(tmp_path.glob("*/*.json"))
+        assert cache.kind_stats()["stay_points"] == {"hits": 2, "misses": 2}
+        # The same content under a plain hashed key still spills.
+        stay_points_of(_clone(dataset.traces[0]), cache=cache)
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
 
     def test_memory_only_engine_does_not_spill(self, taxi_dataset):
         engine = EvaluationEngine(engine="serial")
